@@ -12,9 +12,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .expr import LinExpr, as_expr
-from ..errors import LPError, ResourceLimitError
+from .. import telemetry
+from ..errors import ResourceLimitError
 
 
 @dataclass
@@ -125,7 +127,8 @@ class LPProblem:
         """Merge another problem's variables and constraints into this one."""
         for name in other.variables:
             self.declare(name)
-        self.constraints.extend(other.constraints)
+        for con in other.constraints:
+            self._register(con)
 
     def copy(self) -> "LPProblem":
         clone = LPProblem(self.name, self.max_variables, self.max_constraints)
@@ -142,37 +145,32 @@ class LPProblem:
 
     def to_matrices(
         self, extra_vars: Sequence[str] = ()
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Dict[str, int]]:
+    ) -> Tuple[csr_matrix, np.ndarray, csr_matrix, np.ndarray, Dict[str, int]]:
         """Export as ``A_ub x <= b_ub``, ``A_eq x = b_eq`` over declared vars.
 
-        Does NOT include the implicit non-negativity bounds; callers add
-        them where needed (the solver passes bounds, the polytope module
+        The matrices are CSR with sorted column indices and no explicit
+        zeros; AARA rows touch a handful of the thousands of columns, so
+        this is the only representation the LP path ever builds.  Does
+        NOT include the implicit non-negativity bounds; callers add them
+        where needed (the solver passes bounds, the polytope module
         appends ``-I x <= 0`` rows).
         """
         if not extra_vars and self._matrix_cache is not None:
             return self._matrix_cache
-        index = self.column_index()
-        for name in extra_vars:
-            if name not in index:
-                index[name] = len(index)
-        n = len(index)
-        ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
-        for con in self.constraints:
-            row = np.zeros(n)
-            diff = con.lhs - con.rhs
-            for name, coef in diff.coeffs.items():
-                row[index[name]] = coef
-            if con.sense == "<=":
-                ub_rows.append(row)
-                ub_rhs.append(-diff.const)
-            else:
-                eq_rows.append(row)
-                eq_rhs.append(-diff.const)
-        A_ub = np.array(ub_rows) if ub_rows else np.zeros((0, n))
-        b_ub = np.array(ub_rhs) if ub_rhs else np.zeros(0)
-        A_eq = np.array(eq_rows) if eq_rows else np.zeros((0, n))
-        b_eq = np.array(eq_rhs) if eq_rhs else np.zeros(0)
-        result = (A_ub, b_ub, A_eq, b_eq, index)
+        with telemetry.span("lp.assemble", stage="lp.assemble") as tspan:
+            index = self.column_index()
+            for name in extra_vars:
+                if name not in index:
+                    index[name] = len(index)
+            n = len(index)
+            ub, eq = _Triplets(), _Triplets()
+            for con in self.constraints:
+                (ub if con.sense == "<=" else eq).add_row(con, index)
+            A_ub, A_eq = ub.to_csr(n), eq.to_csr(n)
+            tspan.set(
+                variables=n, rows=A_ub.shape[0] + A_eq.shape[0], nnz=A_ub.nnz + A_eq.nnz
+            )
+        result = (A_ub, np.array(ub.rhs, dtype=float), A_eq, np.array(eq.rhs, dtype=float), index)
         if not extra_vars:
             self._matrix_cache = result
         return result
@@ -193,7 +191,47 @@ class LPProblem:
         return "\n".join(lines)
 
 
-def validate_objective(problem: LPProblem, objective: LinExpr) -> None:
-    for name in objective.coeffs:
-        if name not in problem._vars:
-            raise LPError(f"objective references undeclared variable {name!r}")
+class _Triplets:
+    """COO triplets of one constraint block, finished into CSR.
+
+    Each row is ``lhs - rhs`` computed as ``LinExpr`` would compute it
+    (``l + (-1.0 * r)``, exact zeros dropped), written straight from the
+    two coefficient maps without allocating the difference expression.
+    """
+
+    __slots__ = ("counts", "cols", "vals", "rhs")
+
+    def __init__(self) -> None:
+        self.counts: List[int] = []
+        self.cols: List[int] = []
+        self.vals: List[float] = []
+        self.rhs: List[float] = []
+
+    def add_row(self, con: Constraint, index: Dict[str, int]) -> None:
+        lhs, rhs = con.lhs.coeffs, con.rhs.coeffs
+        self.counts.append(len(lhs) + len(rhs))
+        self.cols.extend(map(index.__getitem__, lhs))
+        self.vals.extend(lhs.values())
+        if rhs:
+            self.cols.extend(map(index.__getitem__, rhs))
+            self.vals.extend([coef * -1.0 for coef in rhs.values()])
+        self.rhs.append(-(con.lhs.const + con.rhs.const * -1.0))
+
+    def to_csr(self, n: int) -> csr_matrix:
+        m = len(self.rhs)
+        rows = np.repeat(np.arange(m, dtype=np.int64), self.counts)
+        cols = np.array(self.cols, dtype=np.int64)
+        vals = np.array(self.vals, dtype=float)
+        # row-major order; the stable sort keeps a variable's lhs entry
+        # just ahead of its rhs entry, the only possible duplicate pair
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        keep = np.ones(len(vals), dtype=bool)
+        dup = np.flatnonzero((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1]))
+        vals[dup] = vals[dup] + vals[dup + 1]
+        keep[dup + 1] = False
+        keep &= vals != 0.0
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+        return csr_matrix((vals, cols, indptr), shape=(m, n))

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import OptimizeResult, linprog
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, vstack
 
 from .expr import LinExpr
 from .problem import LPProblem
@@ -62,16 +62,17 @@ def _run_linprog(c, A_ub, b_ub, A_eq, b_eq, n, bounds=None, method="highs"):
             fun=None,
             x=None,
         )
-    kwargs = dict(bounds=bounds, method=method)
-    A_ub_s = csr_matrix(A_ub) if A_ub.size else None
-    A_eq_s = csr_matrix(A_eq) if A_eq.size else None
+    # row counts, not ``.size``: on a sparse matrix that is the nnz, and
+    # a constant-only row such as ``0 <= -1`` has none
+    has_ub, has_eq = A_ub.shape[0] > 0, A_eq.shape[0] > 0
     return linprog(
         c,
-        A_ub=A_ub_s,
-        b_ub=b_ub if A_ub_s is not None else None,
-        A_eq=A_eq_s,
-        b_eq=b_eq if A_eq_s is not None else None,
-        **kwargs,
+        A_ub=A_ub if has_ub else None,
+        b_ub=b_ub if has_ub else None,
+        A_eq=A_eq if has_eq else None,
+        b_eq=b_eq if has_eq else None,
+        bounds=bounds,
+        method=method,
     )
 
 
@@ -91,7 +92,7 @@ def _solve_robust(c, A_ub, b_ub, A_eq, b_eq, n, bounds, context=""):
         attempts += 1
         if result.status in _DEFINITIVE_STATUSES:
             return result, attempts - 1
-    if A_ub.size:
+    if A_ub.shape[0]:
         # last resort: loosen the inequality RHS by a deterministic hair —
         # strictly enlarges the feasible region, so a feasible problem
         # stays feasible and the optimum moves by O(1e-9)
@@ -142,17 +143,12 @@ def solve_lexicographic(
         fallbacks = 0
         iterations = 0
 
-        ub_rows = [A_ub] if A_ub.size else []
-        ub_rhs = [b_ub] if b_ub.size else []
-
         tspan.set(variables=n, constraints=int(A_ub.shape[0]) + int(A_eq.shape[0]))
         for stage, objective in enumerate(objectives):
             c = np.zeros(n)
             for name, coef in objective.coeffs.items():
                 c[index[name]] += coef
-            A_cur = np.vstack(ub_rows) if ub_rows else np.zeros((0, n))
-            b_cur = np.concatenate(ub_rhs) if ub_rhs else np.zeros(0)
-            result, extra = _solve_robust(c, A_cur, b_cur, A_eq, b_eq, n, bounds, context)
+            result, extra = _solve_robust(c, A_ub, b_ub, A_eq, b_eq, n, bounds, context)
             fallbacks += extra
             iterations += int(getattr(result, "nit", 0) or 0)
             if result.status == 2:
@@ -170,11 +166,8 @@ def solve_lexicographic(
             if stage < len(objectives) - 1:
                 # pin: objective <= opt (+ small slack for numerical robustness)
                 slack = STAGE_TOLERANCE * max(1.0, abs(stage_opt))
-                row = np.zeros(n)
-                for name, coef in objective.coeffs.items():
-                    row[index[name]] += coef
-                ub_rows.append(row.reshape(1, -1))
-                ub_rhs.append(np.array([stage_opt - objective.const + slack]))
+                A_ub = vstack([A_ub, csr_matrix(c[np.newaxis, :])], format="csr")
+                b_ub = np.append(b_ub, stage_opt - objective.const + slack)
 
         assert result is not None
         tspan.set(iterations=iterations, fallbacks=fallbacks)

@@ -203,6 +203,8 @@ def polytope_from_lp(
     polytope samplers such as Volesti perform before reflective HMC.
     """
     A_ub, b_ub, A_eq, b_eq, index = problem.to_matrices(extra_vars=var_order or ())
+    # the elimination below is dense linear algebra; densify once here
+    A_ub, A_eq = A_ub.toarray(), A_eq.toarray()
     names = [None] * len(index)
     for name, col in index.items():
         names[col] = name

@@ -56,6 +56,21 @@ _ids = itertools.count(1)  # monotonic span ids (per process)
 _local = threading.local()  # .stack: active span stack; .accs: accumulators
 
 
+def _renew_lock_in_child() -> None:
+    """A forked child gets a fresh sink lock.
+
+    ``fork`` copies the lock in whatever state it was in: held by a
+    thread of the parent that does not exist in the child, a pool worker
+    would block for ever at the first event that reopens its sink.
+    """
+    global _sink_lock
+    _sink_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_renew_lock_in_child)
+
+
 def enabled() -> bool:
     """Is telemetry recording events?"""
     return _enabled

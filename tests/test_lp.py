@@ -1,11 +1,21 @@
 """LP substrate tests: expressions, problems, lexicographic solving."""
 
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix, vstack
 
-from repro.errors import InfeasibleError, LPError
+from repro.aara.analyze import build_analysis
+from repro.errors import InfeasibleError, LPError, ResourceLimitError, UnanalyzableError
+from repro.lang import compile_program
 from repro.lp import LPProblem, LinExpr, feasible_point, solve_lexicographic, solve_min
+from repro.suite import all_benchmarks
 
 coef = st.floats(-10, 10, allow_nan=False)
 
@@ -80,6 +90,26 @@ class TestLPProblem:
         xq = q.fresh("b")
         q.add_ge(xq, 1)
         p.extend(q)
+        assert len(p.constraints) == 1
+
+    def test_extend_invalidates_matrix_cache(self):
+        # q only constrains a variable p already declared: no new column,
+        # but the cached matrices are stale all the same
+        p, q = LPProblem(), LPProblem()
+        x = p.fresh("x")
+        p.add_ge(x, 1)
+        assert solve_min(p, x).value(x) == pytest.approx(1.0)
+        q.add_ge(x, 5)
+        p.extend(q)
+        assert solve_min(p, x).value(x) == pytest.approx(5.0)
+
+    def test_extend_respects_constraint_budget(self):
+        p, q = LPProblem(max_constraints=1), LPProblem()
+        x = p.fresh("x")
+        p.add_ge(x, 1)
+        q.add_ge(x, 5)
+        with pytest.raises(ResourceLimitError):
+            p.extend(q)
         assert len(p.constraints) == 1
 
     def test_matrices_shape(self):
@@ -167,3 +197,170 @@ class TestSolving:
         p.add_ge(2 * x, target)
         sol = solve_min(p, x)
         assert sol.value(x) == pytest.approx(target / 2, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# The sparse matrix path
+# ---------------------------------------------------------------------------
+
+
+def _dense_reference(problem, chunk=256):
+    """The matrices as ``csr_matrix`` of dense ``lhs - rhs`` rows.
+
+    Rows are densified ``chunk`` at a time rather than all at once, so
+    the reference stays cheap on the larger suite LPs.
+    """
+    index = problem.column_index()
+    n = len(index)
+    blocks = {"<=": ([], [], []), "=": ([], [], [])}
+    for con in problem.constraints:
+        diff = con.lhs - con.rhs
+        row = np.zeros(n)
+        for name, coef in diff.coeffs.items():
+            row[index[name]] = coef
+        done, pending, rhs = blocks[con.sense]
+        pending.append(row)
+        rhs.append(-diff.const)
+        if len(pending) == chunk:
+            done.append(csr_matrix(np.array(pending)))
+            pending.clear()
+    out = []
+    for sense in ("<=", "="):
+        done, pending, rhs = blocks[sense]
+        if pending:
+            done.append(csr_matrix(np.array(pending)))
+        matrix = vstack(done, format="csr") if done else csr_matrix((0, n))
+        out += [matrix, np.array(rhs, dtype=float)]
+    return out
+
+
+def _assert_same_csr(got, want):
+    assert got.shape == want.shape
+    assert got.has_sorted_indices
+    assert np.all(got.data != 0.0)  # no explicit zeros
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
+def _suite_lps(max_degree=2):
+    """Conventional LPs of every analyzable function of every suite source."""
+    for spec in all_benchmarks():
+        for mode, source in (("data-driven", spec.data_driven_source), ("hybrid", spec.hybrid_source)):
+            if source is None:
+                continue
+            program = compile_program(source)
+            for fun in program:
+                for degree in range(1, max_degree + 1):
+                    try:
+                        analysis = build_analysis(program, fun.name, degree, stat_mode="transparent")
+                    except UnanalyzableError:
+                        break
+                    yield f"{spec.name}/{mode}/{fun.name}@{degree}", analysis.lp
+
+
+class TestSparseMatrices:
+    def test_csr_matches_dense_reference_on_suite(self):
+        sources = set()
+        for label, lp in _suite_lps():
+            A_ub, b_ub, A_eq, b_eq, index = lp.to_matrices()
+            ref_ub, ref_b_ub, ref_eq, ref_b_eq = _dense_reference(lp)
+            _assert_same_csr(A_ub, ref_ub)
+            _assert_same_csr(A_eq, ref_eq)
+            assert np.array_equal(b_ub, ref_b_ub), label
+            assert np.array_equal(b_eq, ref_b_eq), label
+            assert index == lp.column_index()
+            sources.add(label.rsplit("/", 1)[0])
+        assert len(sources) == 17
+
+    def test_cancelling_and_rhs_only_terms(self):
+        p = LPProblem()
+        x, y, z = p.fresh("x"), p.fresh("y"), p.fresh("z")
+        p.add_le(2 * x + y, 2 * x + 3 * z + 1)  # x cancels, z only on the rhs
+        p.add_eq(y + 0.5, x)
+        A_ub, b_ub, A_eq, b_eq, _ = p.to_matrices()
+        ref_ub, ref_b_ub, ref_eq, ref_b_eq = _dense_reference(p)
+        _assert_same_csr(A_ub, ref_ub)
+        _assert_same_csr(A_eq, ref_eq)
+        assert A_ub.toarray().tolist() == [[0.0, 1.0, -3.0]]
+        assert b_ub.tolist() == [1.0] and b_eq.tolist() == [-0.5]
+
+    def test_constant_only_rows_stay_infeasible(self):
+        # a constant-only row has no nonzeros; it must still reach HiGHS
+        for add in (lambda p: p.add_le(0, -1), lambda p: p.add_eq(0, 1)):
+            p = LPProblem()
+            x = p.fresh("x")
+            add(p)
+            with pytest.raises(InfeasibleError):
+                solve_min(p, x)
+
+    def test_extra_vars_append_columns(self):
+        p = LPProblem()
+        x, y = p.fresh("x"), p.fresh("y")
+        p.add_le(x + y, 4)
+        p.add_eq(x, 1)
+        A_ub, _, A_eq, _, index = p.to_matrices(extra_vars=["z", "x.0", "w"])
+        assert A_ub.shape == (1, 4) and A_eq.shape == (1, 4)
+        assert index == {"x.0": 0, "y.1": 1, "z": 2, "w": 3}
+        assert A_ub.toarray().tolist() == [[1.0, 1.0, 0.0, 0.0]]
+        # the widened export is not cached in place of the plain one
+        assert p.to_matrices()[0].shape == (1, 2)
+
+    def test_matrices_cached_until_a_constraint_is_added(self):
+        p = LPProblem()
+        x = p.fresh("x")
+        p.add_ge(x, 1)
+        assert p.to_matrices() is p.to_matrices()
+        first = p.to_matrices()
+        p.add_ge(x, 2)
+        assert p.to_matrices() is not first
+        assert p.to_matrices()[0].shape == (2, 1)
+
+    def test_lexicographic_stage_pins_are_sparse_rows(self):
+        # every stage pins its optimum as one more sparse row; a problem
+        # with no inequality rows at all starts from an empty block
+        p = LPProblem()
+        x, y = p.fresh("x"), p.fresh("y")
+        p.add_eq(x + y, 10)
+        sol = solve_lexicographic(p, [x, y, x + y])
+        assert sol.value(x) == pytest.approx(0.0, abs=1e-6)
+        assert sol.value(y) == pytest.approx(10.0, abs=1e-6)
+        assert sol.objective_values == pytest.approx([0.0, 10.0, 10.0], abs=1e-6)
+
+
+#: the cold pass of MedianOfMedians at degree 3 in a child process, so
+#: its peak RSS is its own
+_MOM_DEGREE3 = """
+import json, resource
+from repro.analysis.incremental import IncrementalEngine
+from repro.suite import get_benchmark
+spec = get_benchmark("MedianOfMedians")
+doc = IncrementalEngine(None, max_degree=3).analyze(
+    spec.data_driven_source, path="mom", entry=spec.data_driven_entry
+).document()
+verdicts = {f: [b["status"], b["degree"], b["describe"]] for f, b in doc["bounds"].items()}
+print(json.dumps({"verdicts": verdicts,
+                  "rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is KiB on Linux only")
+def test_median_of_medians_degree3_fits_in_memory():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _MOM_DEGREE3],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=600, check=True,
+    )
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    verdicts = out["verdicts"]
+    # the two entry points are infeasible at every degree, so their
+    # degree-3 LPs (~21k x 18k) are built and solved
+    assert verdicts.pop("median_of_medians") == ["infeasible", 0, None]
+    assert verdicts.pop("median_of_medians2") == ["infeasible", 0, None]
+    assert verdicts.pop("incur_cost") == ["bound", 1, "1"]
+    assert verdicts.pop("partition") == ["bound", 1, "1*n2"]
+    assert len(verdicts) == 12
+    assert all(v == ["bound", 1, "0"] for v in verdicts.values()), verdicts
+    assert out["rss_kb"] < 1024 * 1024, out["rss_kb"]

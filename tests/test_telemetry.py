@@ -9,6 +9,9 @@ so cross-process merges still see every completed event.
 
 import json
 import os
+import signal
+import threading
+import time
 
 import pytest
 
@@ -17,6 +20,7 @@ from repro.config import AnalysisConfig
 from repro.evalharness import EvalRunner, expand_grid, run_benchmark, timing_markdown
 from repro.evalharness.runner import max_rss_kb
 from repro.inference.serialize import result_to_json
+from repro.lp import LPProblem, solve_lexicographic
 from repro.suite import get_benchmark
 from repro.telemetry import NULL_SPAN
 from repro.telemetry.chrome import load_events, trace_files, write_chrome_trace
@@ -95,6 +99,48 @@ class TestSpans:
         root = next(e for e in load_events(tmp_path) if e["name"] == "runner.task")
         assert set(acc.totals) == {"task", "lp"}
         assert sum(acc.totals.values()) == pytest.approx(root["dur"], rel=0.05, abs=1e-4)
+
+
+class TestForkSafety:
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_child_emits_while_a_parent_thread_holds_the_sink_lock(self, tmp_path):
+        telemetry.enable(tmp_path)
+        held, release = threading.Event(), threading.Event()
+
+        def hold_lock():
+            with telemetry._sink_lock:
+                held.set()
+                release.wait(10)
+
+        holder = threading.Thread(target=hold_lock)
+        holder.start()
+        assert held.wait(5)
+        try:
+            pid = os.fork()
+            if pid == 0:  # child: its first event reopens the sink under the lock
+                code = 1
+                try:
+                    telemetry.counter("child.events", 1)
+                    code = 0
+                finally:
+                    os._exit(code)
+            deadline = time.monotonic() + 5
+            while True:
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    break
+                if time.monotonic() > deadline:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                    pytest.fail("forked child hung on the inherited sink lock")
+                time.sleep(0.02)
+        finally:
+            release.set()
+            holder.join()
+        telemetry.disable()
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+        events = [e for e in load_events(tmp_path) if e["name"] == "child.events"]
+        assert [e["pid"] for e in events] == [pid]
 
 
 class TestDisabledFastPath:
@@ -237,6 +283,32 @@ class TestGoldenStability:
             b.pop("runtime_seconds")
             assert a == b, key
         assert load_events(tmp_path)  # tracing actually recorded something
+
+
+    def test_traced_lp_solve_splits_assembly_and_is_identical(self, tmp_path):
+        def solve():
+            p = LPProblem()
+            x, y, z = p.fresh("x"), p.fresh("y"), p.fresh("z")
+            p.add_ge(x + 2 * y, 3)
+            p.add_le(y, z + 1)
+            p.add_eq(x + z, 2)
+            return solve_lexicographic(p, [x + y, z], context="split")
+
+        plain = solve()
+        telemetry.enable(tmp_path)
+        traced = solve()
+        telemetry.disable()
+        assert traced.assignment == plain.assignment
+        assert traced.objective_values == plain.objective_values
+
+        events = load_events(tmp_path)
+        spans = {e["name"]: e for e in events if e["ev"] == "span"}
+        assemble, solve_span = spans["lp.assemble"], spans["lp.solve"]
+        assert assemble["parent"] == solve_span["id"]
+        assert assemble["stage"] == "lp.assemble"
+        assert assemble["args"] == {"variables": 3, "rows": 3, "nnz": 6}
+        totals = summarize_events(events).stage_totals()
+        assert {"lp", "lp.assemble"} <= set(totals)
 
 
 class TestSatellites:
